@@ -54,7 +54,7 @@ class CompiledQuery:
             for j in PL.joins(self.plan)
         }
 
-    def _resolve_rand(self, kind_name, C, hts, cm, n_region) -> RandAccess:
+    def _resolve_rand(self, kind_name, C, hts, n_region) -> RandAccess:
         kind, name = kind_name
         if kind == "bucket":
             dep = self._deps.get(name, True)
@@ -74,18 +74,6 @@ class CompiledQuery:
                 cap_bytes=costs.PREAGG_PARTITION_BYTES,
             )
         raise ValueError(kind)
-
-    def _group_spill_bytes(self, kind_name, C, cm, n_region) -> float:
-        """Per-iteration sequential spill traffic for capped group-bys."""
-        kind, name = kind_name
-        if kind != "group":
-            return 0.0
-        nk, na = self.cg.gb_meta[name]
-        width = 8 * (nk + 2 * na + 1)
-        g = max(C.get(f"groups_{name}", 1), 1)
-        gdep = g / max(n_region, 1) > 0.01
-        gt = g * width * (cm.size_scale if gdep else 1.0)
-        return 2.0 * 8 * (nk + na) if gt > costs.PREAGG_PARTITION_BYTES else 0.0
 
     def _group_branch(self, r, C, n) -> tuple:
         """Group-found branch of a fused aggregation region."""
@@ -118,21 +106,22 @@ class CompiledQuery:
                     p = min(1.0, n / np_)
                     miss = min(p, 1.0 - p) * costs.BRANCH_PREDICTOR_FACTOR
                     cm.loop(np_, 0.0, branches=((1.0, miss),), body_instr=body)
-                branches = self._group_branch(r, C, n)
-                spill = sum(
-                    self._group_spill_bytes(k, C, cm, n) for k in r.rand
-                )
+                rand = tuple(self._resolve_rand(k, C, hts, n) for k in r.rand)
                 cm.loop(
                     n,
                     r.instr * f,
-                    rand=tuple(
-                        self._resolve_rand(k, C, hts, cm, n) for k in r.rand
-                    ),
-                    seq_bytes=n * (r.seq_bytes + spill),
+                    rand=rand,
+                    seq_bytes=n * r.seq_bytes,
                     stream_ws=None,
-                    branches=branches,
+                    branches=self._group_branch(r, C, n),
                     body_instr=body,
                 )
+                for (kind, name), table in zip(r.rand, rand):
+                    if kind == "group":
+                        # spill + re-read of partitioned rows, if the
+                        # modelled group table outgrows its partition
+                        nk, na = self.cg.gb_meta[name]
+                        cm.spill(n * 2.0 * 8 * (nk + na), table)
 
 
 def compile_plan(plan, partial: bool = False, hash_fn: str = "crc") -> CompiledQuery:

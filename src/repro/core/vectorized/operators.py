@@ -257,8 +257,12 @@ class GroupByOp:
         width = 8 * (len(self.keys) + 2 * len(self.aggs) + 1)
         row_width = 8 * (len(self.keys) + len(in_parts))
         gt_bytes = n_groups * width
-        cap = costs.PREAGG_PARTITION_BYTES
-        gdep = self.keys and n_groups / max(total, 1) > 0.01
+        gdep = n_groups / max(total, 1) > 0.01
+        group_rand = (
+            (RandAccess(gt_bytes, 1.0, scale=gdep, cap_bytes=costs.PREAGG_PARTITION_BYTES),)
+            if self.keys
+            else ()
+        )
         if self.keys and total:
             # new-group fraction drives both the §2.2 partition shuffle
             # work and the (hard to predict) group-found branch
@@ -267,22 +271,15 @@ class GroupByOp:
                 self.ctx, total,
                 costs.HT_BUCKET + costs.CMP + costs.GROUP_PARTITION_EXTRA * p_new,
                 1, 1,
-                rand=(RandAccess(gt_bytes, 1.0, scale=gdep, cap_bytes=cap),),
+                rand=group_rand,
                 branches=((1.0, min(p_new, 1.0 - p_new) + 0.02),),
             )
-            scale = (self.ctx.cm.size_scale if gdep else 1.0) if self.ctx.cm else 1.0
-            if gt_bytes * scale > cap and self.ctx.cm is not None:
-                # spill + re-read of partitioned rows
-                self.ctx.cm.loop(
-                    total, 0.0, seq_bytes=total * 2.0 * row_width, stream_ws=None
-                )
+            if self.ctx.cm is not None:
+                # spill + re-read of partitioned rows, if the modelled
+                # group table outgrows its partition
+                self.ctx.cm.spill(total * 2.0 * row_width, group_rand[0])
         for _ in self.aggs:
-            P.charge(
-                self.ctx, total, costs.AGG_UPDATE, 1, 0,
-                rand=(RandAccess(gt_bytes, 1.0, scale=gdep, cap_bytes=cap),)
-                if self.keys
-                else (),
-            )
+            P.charge(self.ctx, total, costs.AGG_UPDATE, 1, 0, rand=group_rand)
         return result
 
     def next(self):

@@ -6,7 +6,7 @@ cannot measure our own operators' machine behaviour, so counters are
 Hardware constants come from the paper's Table 4.
 """
 from .hardware import KNL, SKYLAKE, THREADRIPPER, Hardware
-from .model import CostModel, Counters, RandAccess
+from .model import CostModel, Counters, RandAccess, Trace, evaluate
 
 __all__ = [
     "Hardware",
@@ -16,4 +16,6 @@ __all__ = [
     "CostModel",
     "Counters",
     "RandAccess",
+    "Trace",
+    "evaluate",
 ]

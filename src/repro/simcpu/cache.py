@@ -13,8 +13,6 @@ from .hardware import Hardware
 
 LINE = 64
 
-LEVELS = ("l1", "l2", "llc", "dram")
-
 
 # A randomly probed structure never gets the whole LLC: concurrent
 # streams (scans, spills) and the bucket directory thrash it, so only a
@@ -38,22 +36,6 @@ def rand_extra_latency(hw: Hardware, struct_bytes: float) -> float:
     _, f2, f3, f4 = rand_service_fractions(hw, struct_bytes)
     l1 = 4
     return f2 * (hw.l2_lat - l1) + f3 * (hw.llc_lat - l1) + f4 * (hw.mem_lat - l1)
-
-
-def stream_level(hw: Hardware, ws_bytes: float | None) -> str:
-    """Backing level for a sequential stream cycling through ``ws_bytes``.
-
-    ``None`` means a non-resident base-table stream (always DRAM).
-    """
-    if ws_bytes is None:
-        return "dram"
-    if ws_bytes <= hw.l1_bytes:
-        return "l1"
-    if ws_bytes <= hw.l2_bytes:
-        return "l2"
-    if ws_bytes <= hw.llc_bytes:
-        return "llc"
-    return "dram"
 
 
 # per-line stall cycles for prefetched sequential streams, by backing

@@ -1,21 +1,25 @@
-"""Cost model core: per-loop counter derivation.
+"""Cost model core: record executed loops, then evaluate them into counters.
 
 Both engines funnel every executed loop through ``CostModel.loop``:
 Tectorwise once per primitive invocation (tiny body, many calls), Typer
-once per fused-loop region (large body, no calls). Everything the paper
-measures — instructions, cycles, IPC, L1/LLC misses, branch misses,
+once per fused-loop region (large body, no calls). Recording only adds
+the loop to a ``Trace``; ``evaluate`` is the one place that turns a trace
+into counters for a hardware platform and a modelled scale factor, so
+one execution serves every platform and SF (DESIGN.md §2). Everything the
+paper measures — instructions, cycles, IPC, L1/LLC misses, branch misses,
 memory stalls — falls out of the same mechanical rules (DESIGN.md §5).
 
 The central latency-hiding rule: a loop's memory-level parallelism is
+affine in the iterations its out-of-order window holds,
 
-    MLP = clamp(1, load_buffers, (ROB / body_instructions) x accesses/iter)
+    MLP = max(1, 0.4 x min(load_buffers, ROB / body_instructions) - 0.8)
 
 so small primitive loops overlap many misses while large fused loops
 cannot — the paper's §4.1 out-of-order-window argument, made executable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from ..core.common import costs
 from . import cache
@@ -83,13 +87,30 @@ class Counters:
         }
 
 
-class CostModel:
-    """Accumulates ``Counters`` over ``loop()`` calls.
+class Trace:
+    """What one execution charged, aggregated at record time.
 
-    ``size_scale`` scales every ``RandAccess(scale=True)`` structure and
-    every DRAM-stream byte count, so a query *executed* at SF=s can be
-    *modelled* at SF=s*size_scale (exact for an analytic model; see
-    DESIGN.md §2).
+    ``loops`` maps every parameter of ``CostModel.loop`` that enters the
+    model non-linearly — ``(instr_per_iter, rand, stream_ws, branches,
+    body_instr)`` — to the running sums ``[n, seq_bytes, calls]`` of the
+    linear ones. ``spills`` maps a capped structure to the sequential
+    bytes that spill only if its modelled size exceeds the cap.
+    """
+
+    __slots__ = ("loops", "spills")
+
+    def __init__(self):
+        self.loops: dict = {}
+        self.spills: dict = {}
+
+
+class CostModel:
+    """Records loops into ``trace``; ``counters`` evaluates it at this
+    model's ``hw`` and ``size_scale``.
+
+    ``size_scale`` scales every ``RandAccess(scale=True)`` structure, so a
+    query *executed* at SF=s can be *modelled* at SF=s*size_scale (exact
+    for an analytic model; see DESIGN.md §2). Only evaluation reads it.
     """
 
     def __init__(
@@ -103,7 +124,11 @@ class CostModel:
         # tables whose cardinality does not grow with SF (date/nation
         # dimensions): structures built from them keep their actual size
         self.fixed_tables = frozenset(fixed_tables)
-        self.counters = Counters()
+        self.trace = Trace()
+
+    @property
+    def counters(self) -> Counters:
+        return evaluate(self.trace, self.hw, self.size_scale)
 
     def structure_scale(self, source_tables) -> bool:
         """Whether a structure built from ``source_tables`` grows with SF."""
@@ -121,7 +146,7 @@ class CostModel:
         calls: float = 0.0,
         body_instr: float | None = None,
     ) -> None:
-        """Charge one executed loop.
+        """Record one executed loop.
 
         n               iterations executed
         instr_per_iter  abstract instructions per iteration (incl. loop ovh)
@@ -134,40 +159,77 @@ class CostModel:
         body_instr      MLP window divisor; defaults to instr_per_iter —
                         pass the full fused-loop body size when charging a
                         region of a larger loop
-
-        ``size_scale`` only affects structure sizes (``RandAccess`` with
-        ``scale=True``): per-tuple stream traffic is SF-invariant, so
-        totals for a larger modelled SF are obtained by linearly scaling
-        the finished ``Counters`` (see ``Counters.scaled``).
         """
         if n <= 0:
             return
-        hw = self.hw
-        c = self.counters
+        key = (
+            instr_per_iter,
+            rand,
+            stream_ws,
+            branches,
+            instr_per_iter if body_instr is None else body_instr,
+        )
+        acc = self.trace.loops.get(key)
+        if acc is None:
+            self.trace.loops[key] = [n, seq_bytes, calls]
+        else:
+            acc[0] += n
+            acc[1] += seq_bytes
+            acc[2] += calls
+
+    def spill(self, seq_bytes: float, table: RandAccess) -> None:
+        """Record partition write+read traffic of a capped structure: it
+        is charged as a DRAM stream only when ``table``'s modelled size
+        exceeds its ``cap_bytes`` (the §3.2 two-phase pre-aggregation)."""
+        spills = self.trace.spills
+        spills[table] = spills.get(table, 0.0) + seq_bytes
+
+
+def _modelled_bytes(r: RandAccess, size_scale: float) -> float:
+    """Size of ``r``'s structure at the modelled SF, before any cap."""
+    return r.struct_bytes * (size_scale if r.scale else 1.0)
+
+
+def _dram_stream(c: Counters, seq_bytes: float) -> None:
+    """Non-resident sequential stream: always comes from DRAM."""
+    lines = seq_bytes / cache.LINE
+    c.l1_miss += lines
+    c.l2_miss += lines
+    c.llc_miss += lines
+    c.dram_bytes += seq_bytes
+    c.mem_stall += lines * cache.STREAM_STALL["dram"]
+
+
+def evaluate(trace: Trace, hw: Hardware, size_scale: float) -> Counters:
+    """Counters of ``trace`` on ``hw`` with structures at ``size_scale``.
+
+    Per-tuple stream traffic is SF-invariant, so totals for a larger
+    modelled SF are obtained by linearly scaling the result (see
+    ``Counters.scaled``).
+    """
+    c = Counters()
+    for (instr_per_iter, rand, stream_ws, branches, body), (
+        n, seq_bytes, calls
+    ) in trace.loops.items():
         instr = n * instr_per_iter + calls * costs.CALL
         c.instr += instr
         c.calls += calls
         c.compute_cycles += instr / hw.issue_eff
 
-        body = body_instr if body_instr is not None else instr_per_iter
-        accesses_per_iter = sum(r.per_iter for r in rand)
-        if accesses_per_iter > 0:
+        if rand:
             # Within one iteration, accesses are typically *dependent*
             # (bucket -> entry -> next join), so outstanding misses come
             # from independent iterations in the out-of-order window —
             # tiny primitive loops reach the load-buffer cap, complex
-            # fused loops do not (§4.1). The square root reflects that
-            # even independent iterations only partially overlap (chain-
-            # exit branches, TLB walks, fill-buffer contention); it lands
-            # on the effective MLPs Table 1 implies (~1.5-2 for fused
-            # loops, ~3 for primitive loops).
-            # affine in the window with a fixed serialization tax: lands
-            # on the effective MLPs Table 1 implies (~1.6 for a fused
-            # probe loop, ~3.2 for a tight primitive loop)
+            # fused loops do not (§4.1). Affine in the window with a
+            # fixed serialization tax (chain-exit branches, TLB walks,
+            # fill-buffer contention): lands on the effective MLPs
+            # Table 1 implies (~1.6 for a fused probe loop, ~3.2 for a
+            # tight primitive loop).
             window_iters = max(1.0, hw.rob_size / max(body, 1.0))
             mlp = max(1.0, 0.4 * min(float(hw.load_buffers), window_iters) - 0.8)
             for r in rand:
-                s = r.struct_bytes * (self.size_scale if r.scale else 1.0)
+                s = _modelled_bytes(r, size_scale)
                 if r.cap_bytes is not None:
                     s = min(s, r.cap_bytes)
                 f1, f2, f3, f4 = cache.rand_service_fractions(hw, s)
@@ -179,17 +241,12 @@ class CostModel:
                 c.mem_stall += a * cache.rand_extra_latency(hw, s) / mlp
 
         if seq_bytes > 0:
-            lines = seq_bytes / cache.LINE
             if stream_ws is None:
-                # non-resident base-table stream: always comes from DRAM
-                c.l1_miss += lines
-                c.l2_miss += lines
-                c.llc_miss += lines
-                c.dram_bytes += seq_bytes
-                c.mem_stall += lines * cache.STREAM_STALL["dram"]
+                _dram_stream(c, seq_bytes)
             else:
                 # resident stream (e.g. TW vectors): the fraction of the
                 # cycled working set that fits each level stays hot there
+                lines = seq_bytes / cache.LINE
                 f1, f2, f3, f4 = cache.rand_service_fractions(hw, stream_ws)
                 c.l1_miss += lines * (1.0 - f1)
                 c.l2_miss += lines * (f3 + f4)
@@ -208,3 +265,8 @@ class CostModel:
             # the loop body held in flight (§4.1: complex loops lose more)
             discard = min(body, hw.rob_size) / (2.0 * hw.issue_eff)
             c.branch_stall += bm * (costs.BRANCH_MISS_PENALTY + discard)
+
+    for table, seq_bytes in trace.spills.items():
+        if _modelled_bytes(table, size_scale) > table.cap_bytes:
+            _dram_stream(c, seq_bytes)
+    return c

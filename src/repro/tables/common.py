@@ -1,10 +1,13 @@
 """Shared measurement machinery for the table harnesses.
 
-``counters_for`` executes a workload's queries on both engines at a
-small scale factor with the analytic cost model scaled to the paper's
-scale factor (DESIGN.md §2), returning per-(query, engine) counters.
-Results are cached per (workload, sf_exec, model_sf, hw) so multiple
-tables can share one execution pass.
+``counters_for`` returns per-(query, engine) counters of a workload's
+queries on both engines, executed at a small scale factor and modelled
+at the paper's scale factor (DESIGN.md §2). Executions are cached per
+(workload, sf_exec, vector_size): each records one cost trace per
+(query, engine), which is then evaluated for every (model_sf, hw) the
+tables ask for, so Tables 1, 3, 4 and 5 share one TPC-H execution.
+``counters_for.cache_clear`` and ``.cache_info`` act on that execution
+cache.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from functools import lru_cache
 from ..queries import ssb, tpch
 from ..queries.base import FIXED_TABLES
 from ..runner import prepare_ssb, prepare_tpch, run_query
-from ..simcpu import CostModel
+from ..simcpu import CostModel, evaluate
 from ..simcpu.hardware import PLATFORMS
 
 ENGINES = (("typer", "Typer"), ("tectorwise", "TW"))
@@ -32,6 +35,20 @@ def load_workload(workload: str, sf_exec: float, q18_threshold: float = 300.0):
 
 
 @lru_cache(maxsize=32)
+def _traces(workload: str, sf_exec: float, vector_size: int) -> dict:
+    """Run every query of ``workload`` once on both engines; returns
+    ``{(query, engine): (cost Trace, tuples scanned)}`` at ``sf_exec``."""
+    _, enc, queries = load_workload(workload, sf_exec)
+    out = {}
+    for qname, q in queries.items():
+        norm = q.tuples_scanned(enc)
+        for eng, _label in ENGINES:
+            cm = CostModel(fixed_tables=FIXED_TABLES)
+            run_query(q, enc, eng, cm=cm, vector_size=vector_size)
+            out[(qname, eng)] = (cm.trace, norm)
+    return out
+
+
 def counters_for(
     workload: str,
     sf_exec: float,
@@ -39,22 +56,19 @@ def counters_for(
     hw_name: str = "skylake",
     vector_size: int = 1000,
 ):
-    """Run every query of ``workload`` on both engines; returns
+    """Counters of every query of ``workload`` on both engines; returns
     ``{(query, engine): (Counters at model_sf totals, norm_tuples at model_sf)}``.
     """
     hw = PLATFORMS[hw_name]
-    _, enc, queries = load_workload(workload, sf_exec)
-    out = {}
-    for qname, q in queries.items():
-        norm = q.tuples_scanned(enc)
-        for eng, _label in ENGINES:
-            cm = CostModel(
-                hw, size_scale=model_sf / sf_exec, fixed_tables=FIXED_TABLES
-            )
-            run_query(q, enc, eng, cm=cm, vector_size=vector_size)
-            scaled = cm.counters.scaled(model_sf / sf_exec)
-            out[(qname, eng)] = (scaled, norm * model_sf / sf_exec)
-    return out
+    scale = model_sf / sf_exec
+    return {
+        key: (evaluate(trace, hw, scale).scaled(scale), norm * model_sf / sf_exec)
+        for key, (trace, norm) in _traces(workload, sf_exec, vector_size).items()
+    }
+
+
+counters_for.cache_clear = _traces.cache_clear
+counters_for.cache_info = _traces.cache_info
 
 
 def scanned_bytes(workload: str, sf_exec: float, model_sf: float) -> dict:

@@ -45,14 +45,6 @@ def test_latency_monotone_in_size():
     assert lats[0] == 0.0
 
 
-def test_stream_levels():
-    assert cache.stream_level(SKYLAKE, None) == "dram"
-    assert cache.stream_level(SKYLAKE, 8 * KB) == "l1"
-    assert cache.stream_level(SKYLAKE, 256 * KB) == "l2"
-    assert cache.stream_level(SKYLAKE, 8 * MB) == "llc"
-    assert cache.stream_level(SKYLAKE, 100 * MB) == "dram"
-
-
 # -- cost model core --------------------------------------------------------
 
 def test_instr_accounting():

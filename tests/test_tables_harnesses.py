@@ -1,5 +1,7 @@
 """Table harnesses: each produces the expected rows/columns at tiny SF,
 with the paper's reference values embedded."""
+from collections import Counter
+
 import pytest
 
 from repro.tables import (
@@ -89,10 +91,25 @@ def test_fmt_render():
     assert fmt.render([], "X").startswith("X")
 
 
-def test_counters_cache_shared():
-    a = common.counters_for("tpch", SF, 1.0)
-    b = common.counters_for("tpch", SF, 1.0)
-    assert a is b  # lru-cached execution pass
+def test_counters_execute_each_query_once(monkeypatch):
+    """Every model SF and platform replays one cached execution;
+    ``cache_clear`` drops it."""
+    runs = Counter()
+    run_query = common.run_query
+
+    def counting_run_query(query, enc, engine, **kw):
+        runs[(query.name, engine)] += 1
+        return run_query(query, enc, engine, **kw)
+
+    monkeypatch.setattr(common, "run_query", counting_run_query)
+    common.counters_for.cache_clear()
+    one = common.counters_for("tpch", SF, 1.0)
+    common.counters_for("tpch", SF, 100.0, hw_name="knl")
+    assert set(runs) == set(one)
+    assert set(runs.values()) == {1}
+    common.counters_for.cache_clear()
+    common.counters_for("tpch", SF, 1.0)
+    assert set(runs.values()) == {2}
 
 
 def test_scanned_bytes():
