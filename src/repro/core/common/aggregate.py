@@ -1,12 +1,13 @@
 """Shared aggregation finalization.
 
 Both engines accumulate (group-key, aggregate-input) rows and finish the
-aggregation here, so results are bit-identical across engines and the
-partial/final split for Spark morsel parallelism lives in one place.
+aggregation here, so results are bit-identical across engines.
 
 Partial mode emits mergeable columns: ``sum``/``min``/``max`` stay
 themselves, ``count`` emits a count to be summed, ``avg`` splits into
 ``<out>__sum`` and ``<out>__cnt`` (finalized as their quotient).
+``partial_columns`` names each column's merge function; the Spark morsel
+path merges the partials with Catalyst (``spark_exec``).
 """
 from __future__ import annotations
 
@@ -25,25 +26,6 @@ def partial_columns(agg) -> list:
     if agg.fn == "count":
         return [(agg.out, "sum")]
     return [(agg.out, agg.fn)]
-
-
-def finalize_partials(pdf: pd.DataFrame, keys, aggs) -> pd.DataFrame:
-    """Merge partial-aggregate rows (possibly from many morsels)."""
-    spec = {}
-    for a in aggs:
-        for col, fn in partial_columns(a):
-            spec[col] = fn
-    if keys:
-        merged = pdf.groupby(list(keys), sort=False, as_index=False).agg(spec)
-    else:
-        merged = pd.DataFrame({c: [getattr(pdf[c], fn)()] for c, fn in spec.items()})
-    out = merged[list(keys)].copy() if keys else pd.DataFrame(index=[0])
-    for a in aggs:
-        if a.fn == "avg":
-            out[a.out] = merged[f"{a.out}__sum"] / merged[f"{a.out}__cnt"]
-        else:
-            out[a.out] = merged[a.out]
-    return out
 
 
 def aggregate_pandas(

@@ -84,8 +84,6 @@ class ChainingHashTable:
         self._rows_keys: list[list] = [[] for _ in range(n_key_cols)]
         self._rows_payloads: dict[str, list] = {p: [] for p in payload_names}
         self.frozen = False
-        # scalar-path insert counters (read by the compiled engine's cost spec)
-        self.n_inserts = 0
 
     # -- accumulation ------------------------------------------------------
 
@@ -95,7 +93,6 @@ class ChainingHashTable:
             col.append(k)
         for name, v in zip(self.payload_names, payloads):
             self._rows_payloads[name].append(v)
-        self.n_inserts += 1
 
     def build_bulk(self, keys: list[np.ndarray], payloads: dict[str, np.ndarray]) -> None:
         """Tectorwise-path build: whole columns at once (before freeze)."""
@@ -104,7 +101,6 @@ class ChainingHashTable:
             col.extend(arr.tolist())
         for name in self.payload_names:
             self._rows_payloads[name].extend(payloads[name].tolist())
-        self.n_inserts += len(keys[0]) if keys else 0
 
     # -- finalization ------------------------------------------------------
 

@@ -15,17 +15,39 @@ Conventions:
 * ``HashGroupBy`` with ``keys=()`` is a global aggregation. ``avg`` is
   computed as sum/count so it decomposes for partial aggregation in the
   Spark morsel path.
+
+Result types come from the plan, never from the data. ``output_schema``
+gives every output column one of the plan's two dtypes, ``int64`` or
+``float64``:
+
+* a base column is ``float64`` if it is a float column and ``int64``
+  otherwise (integers, bools, dates and dictionary codes);
+* ``Col`` passes its input's dtype through and ``Const`` takes its
+  literal's; ``Arith`` with ``/`` is ``float64``, its other operators are
+  ``float64`` if either side is and ``int64`` otherwise; comparisons and
+  boolean connectives are ``int64``;
+* ``count`` is ``int64`` and ``avg`` is ``float64``; ``sum``, ``min`` and
+  ``max`` of a group-by with keys take their input's dtype. A partial
+  ``avg`` splits into ``<out>__sum`` (``float64``) and ``<out>__cnt``
+  (``int64``).
+
+NULL rule: a global aggregate (``keys=()``) over empty input returns
+NULL for everything but ``count``, so every non-``count`` output of a
+global aggregate is ``float64`` (its partials included), with NULL
+stored as NaN — whether or not the input turns out to be empty.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .expr import Col, Expr
+from .expr import Arith, Col, Const, Expr
 
 _join_counter = itertools.count()
 
 AGG_FNS = ("sum", "count", "min", "max", "avg")
+INT, FLOAT = "int64", "float64"
 
 
 @dataclass(frozen=True)
@@ -132,41 +154,85 @@ def tuples_scanned(plan, tables) -> int:
     return sum(tables[s.table].n for s in scans(plan))
 
 
-def column_provenance(plan) -> dict:
-    """Map output column name -> (table, source column) for columns that
-    pass through untouched; used to decode dictionary-coded outputs."""
+class Field(NamedTuple):
+    """One output column of a plan: its dtype, and for a coded column
+    passed through unchanged, the ``(table, column)`` of its dictionary."""
+
+    dtype: str  # "int64" or "float64"
+    dictionary: tuple | None = None
+
+
+def expr_dtype(e: Expr, schema: dict) -> str:
+    """dtype of ``e`` over input columns typed by ``schema``."""
+    if isinstance(e, Col):
+        return schema[e.name].dtype
+    if isinstance(e, Const):
+        return FLOAT if isinstance(e.value, float) else INT
+    if isinstance(e, Arith):
+        if e.op == "/":
+            return FLOAT
+        sides = (expr_dtype(e.l, schema), expr_dtype(e.r, schema))
+        return FLOAT if FLOAT in sides else INT
+    return INT  # Cmp, InSet, And, Or, Not: booleans
+
+
+def _agg_fields(a: Agg, child: dict, global_agg: bool, partial: bool) -> dict:
+    if a.fn == "count":
+        return {a.out: Field(INT)}
+    if a.fn == "avg" and partial:
+        return {f"{a.out}__sum": Field(FLOAT), f"{a.out}__cnt": Field(INT)}
+    if a.fn == "avg" or global_agg:
+        return {a.out: Field(FLOAT)}
+    return {a.out: Field(expr_dtype(a.expr, child))}
+
+
+def output_schema(plan, tables, partial: bool = False) -> dict:
+    """Output column name -> :class:`Field`, from the plan and the base
+    columns' dtypes alone (see the module docstring for the rules).
+    ``partial=True`` types a root group-by's mergeable partial columns."""
     if isinstance(plan, Scan):
-        return {c: (plan.table, c) for c in plan.cols}
-    if isinstance(plan, Select):
-        return column_provenance(plan.child)
-    if isinstance(plan, Project):
-        prov = column_provenance(plan.child)
+        t = tables[plan.table]
         out = {}
-        for name, e in plan.outputs:
-            if isinstance(e, Col) and e.name in prov:
-                out[name] = prov[e.name]
+        for c in plan.cols:
+            kind = t.columns[c].dtype.kind
+            if kind not in "iubf":
+                raise TypeError(f"{plan.table}.{c}: unsupported dtype {t.columns[c].dtype}")
+            src = (plan.table, c) if c in t.dicts else None
+            out[c] = Field(FLOAT if kind == "f" else INT, src)
         return out
+    if isinstance(plan, Select):
+        return output_schema(plan.child, tables)
+    if isinstance(plan, Project):
+        child = output_schema(plan.child, tables)
+        return {
+            name: child[e.name] if isinstance(e, Col) else Field(expr_dtype(e, child))
+            for name, e in plan.outputs
+        }
     if isinstance(plan, HashJoin):
-        out = dict(column_provenance(plan.probe))
-        bp = column_provenance(plan.build)
-        for p in plan.payload:
-            if p in bp:
-                out[p] = bp[p]
+        build = output_schema(plan.build, tables)
+        out = output_schema(plan.probe, tables)
+        out.update({p: build[p] for p in plan.payload})
         return out
     if isinstance(plan, HashGroupBy):
-        prov = column_provenance(plan.child)
-        return {k: prov[k] for k in plan.keys if k in prov}
+        child = output_schema(plan.child, tables)
+        out = {k: child[k] for k in plan.keys}
+        for a in plan.aggs:
+            out.update(_agg_fields(a, child, not plan.keys, partial))
+        return out
     raise TypeError(type(plan))
+
+
+def cast_result(pdf, schema: dict):
+    """``pdf`` with every column cast to its ``schema`` dtype."""
+    wrong = {c: f.dtype for c, f in schema.items() if pdf[c].dtype != f.dtype}
+    return pdf.astype(wrong) if wrong else pdf
 
 
 def decode_result(pdf, plan, tables):
     """Decode coded output columns of a result frame back to strings."""
-    prov = column_provenance(plan)
     out = pdf.copy()
-    for col in out.columns:
-        if col in prov:
-            tab, src = prov[col]
-            d = tables[tab].dicts.get(src)
-            if d is not None:
-                out[col] = d[out[col].to_numpy().astype("int64")]
+    for col, f in output_schema(plan, tables).items():
+        if f.dictionary is not None and col in out.columns:
+            tab, src = f.dictionary
+            out[col] = tables[tab].dicts[src][out[col].to_numpy().astype("int64")]
     return out

@@ -6,7 +6,8 @@ performs the two normalizations documented in DESIGN.md:
 * datetime columns become ``int32`` ``YYYYMMDD`` values (comparison- and
   year-exact, and expressible in plain SQL for the DuckDB oracle);
 * string columns are dictionary-encoded to ``int32`` codes, with the
-  dictionary kept alongside so group-by outputs can be decoded back.
+  dictionary kept alongside so result columns can be decoded back
+  (``plan.decode_result``).
 
 ``to_oracle_pandas`` produces the equivalent frame with dates converted
 but strings kept, which is what gets registered with DuckDB so that both
@@ -92,18 +93,5 @@ class Table:
                 columns[c] = s.to_numpy(dtype="int64")
         return cls(columns, dicts)
 
-    def decode(self, pdf: pd.DataFrame) -> pd.DataFrame:
-        """Decode coded columns of a result frame that carry our column names."""
-        out = pdf.copy()
-        for c in out.columns:
-            if c in self.dicts:
-                out[c] = self.dicts[c][out[c].to_numpy().astype("int64")]
-        return out
-
     def slice(self, lo: int, hi: int) -> "Table":
         return Table({c: a[lo:hi] for c, a in self.columns.items()}, self.dicts)
-
-
-def encode_tables(tables_pd: dict[str, pd.DataFrame]) -> dict[str, Table]:
-    """Encode every pandas table for engine consumption."""
-    return {name: Table.from_pandas(pdf) for name, pdf in tables_pd.items()}

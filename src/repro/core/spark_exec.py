@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from .common import plan as PL
 from .common.aggregate import partial_columns
@@ -45,15 +46,16 @@ def _run_partition(
     def fn(batches):
         from .compiled import engine as comp_engine
 
+        typer = engine in ("typer", "compiled")
+        if typer:
+            query = comp_engine.compile_plan(plan, partial=True)
         for pdf in batches:
             if len(pdf) == 0:
                 continue
             chunk = Table({c: pdf[c].to_numpy() for c in pdf.columns})
             tables = {probe_name: chunk}
-            if engine in ("typer", "compiled"):
-                out = comp_engine.run_plan(
-                    plan, tables, prebuilt=prebuilt.value, partial=True
-                )
+            if typer:
+                out = query.run(tables, prebuilt=prebuilt.value)
             else:
                 out = vec_engine.run_plan(
                     plan, tables, prebuilt=prebuilt.value,
@@ -152,7 +154,9 @@ def run_plan_spark(
     probe_sdf=None,
 ) -> pd.DataFrame:
     """Execute a root-aggregation plan morsel-parallel; returns the
-    final (coded) result as pandas. Decode with ``plan.decode_result``.
+    final (coded) result as pandas with ``plan.output_schema``'s dtypes.
+    Decode with ``plan.decode_result``. The partial schema that the
+    executors emit also comes from the plan, computed once here.
     Pass a ``cached_probe_df`` result as ``probe_sdf`` when timing
     repeated runs (skips the driver->JVM upload of the probe table)."""
     assert isinstance(plan, PL.HashGroupBy), "root must be an aggregation"
@@ -171,22 +175,12 @@ def run_plan_spark(
     )
     bc = spark.sparkContext.broadcast(hts)
 
-    # derive the partial-output schema from a driver-side sample run —
-    # from its *dtypes*, since a highly selective morsel can be empty
-    sample_tab = Table({c: probe_pdf[c].to_numpy()[:64] for c in probe.cols})
-    sample = vec_engine.run_plan(
-        plan, {probe.table: sample_tab}, prebuilt=hts,
-        vector_size=vector_size, partial=True,
-    )
-    from pyspark.sql.types import DoubleType, LongType, StructField, StructType
-
     dtypes = {
-        c: ("int64" if sample[c].dtype.kind in "iub" else "float64")
-        for c in sample.columns
+        c: f.dtype for c, f in PL.output_schema(plan, tables, partial=True).items()
     }
     schema = StructType(
         [
-            StructField(c, LongType() if t == "int64" else DoubleType())
+            StructField(c, LongType() if t == PL.INT else DoubleType())
             for c, t in dtypes.items()
         ]
     )
@@ -212,11 +206,12 @@ def run_plan_spark(
     final_cols = [F.col(k) for k in plan.keys]
     for a in plan.aggs:
         if a.fn == "avg":
+            # NULL, not an error, when a global avg saw no rows
             final_cols.append(
-                (F.col(f"{a.out}__sum") / F.col(f"{a.out}__cnt")).alias(a.out)
+                F.try_divide(F.col(f"{a.out}__sum"), F.col(f"{a.out}__cnt")).alias(a.out)
             )
         else:
             final_cols.append(F.col(a.out))
     result = merged.select(*final_cols).toPandas()
     bc.unpersist()
-    return result
+    return PL.cast_result(result, PL.output_schema(plan, tables))

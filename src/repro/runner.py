@@ -4,7 +4,8 @@
 and return both views the reproduction needs: ``oracle`` (dates as
 YYYYMMDD ints, strings intact — registered with DuckDB/Spark SQL) and
 ``enc`` (fully encoded engine tables). ``run_query`` executes a Query on
-either engine and decodes dictionary-coded output columns.
+either engine, casts the result to the plan's output schema, and decodes
+dictionary-coded output columns.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pandas as pd
 
 from . import synth_data
 from .core import compiled, vectorized
-from .core.common.plan import decode_result
+from .core.common.plan import cast_result, decode_result, output_schema
 from .core.common.table import Table, to_oracle_pandas
 
 ENGINES = ("typer", "tectorwise")
@@ -48,7 +49,8 @@ def run_query(
     decode: bool = True,
     **kw,
 ) -> pd.DataFrame:
-    """Execute ``query.plan`` on the chosen engine, return decoded pandas."""
+    """Execute ``query.plan`` on the chosen engine, return pandas with
+    ``output_schema``'s dtypes, decoded unless ``decode=False``."""
     if engine in ("typer", "compiled"):
         df = compiled.run_plan(query.plan, tables_enc, cm=cm, **kw)
     elif engine in ("tectorwise", "tw", "vectorized"):
@@ -57,4 +59,5 @@ def run_query(
         )
     else:
         raise ValueError(engine)
+    df = cast_result(df, output_schema(query.plan, tables_enc))
     return decode_result(df, query.plan, tables_enc) if decode else df

@@ -1,8 +1,8 @@
-"""SparkSession factory for the ``jobs/`` entrypoints.
-
-Mirrors the conftest fixture's configuration so jobs and tests see the
+"""The one SparkSession factory: the ``jobs/`` entrypoints, the benchmark
+and the tests' ``spark`` fixture all call ``get_spark``, so they see the
 same engine behaviour (shuffle partitions, Arrow, broadcast joins
-disabled — DESIGN.md §7).
+disabled — DESIGN.md §7). Broadcast joins are disabled so that Spark SQL
+exercises the shuffle path at SF~=0.1.
 """
 from __future__ import annotations
 

@@ -13,14 +13,12 @@ Two families are provided:
 * SSB-lite — ``ssb_lineorder``/``ssb_date``/``ssb_part``/``ssb_supplier``/
   ``ssb_customer`` for the Star Schema Benchmark queries of §4.4.
 
-Every generator comes in two shapes: ``<name>_pdf(sf, seed)`` returning a
-pandas DataFrame (what the in-process engines and the DuckDB oracle
-consume) and ``<name>(spark, sf=..., seed=...)`` returning a Spark
-DataFrame built from the identical pandas frame.
+Every generator is ``<name>_pdf(sf, seed)`` and returns a pandas
+DataFrame (what the in-process engines and the DuckDB oracle consume);
+``TPCH_GENERATORS`` and ``SSB_GENERATORS`` map table names to them.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -289,38 +287,6 @@ def ssb_lineorder_pdf(sf: float = 0.01, seed: int = 14) -> pd.DataFrame:
     )
 
 
-# ---------------------------------------------------------------------------
-# Spark wrappers + generic key generators (scaffold API, kept stable)
-# ---------------------------------------------------------------------------
-
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    return spark.createDataFrame(lineitem_pdf(sf, seed))
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    return spark.createDataFrame(orders_pdf(sf, seed))
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    return spark.createDataFrame(part_pdf(sf, seed))
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    return spark.createDataFrame(customer_pdf(sf, seed))
-
-
-def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
-    return spark.createDataFrame(supplier_pdf(sf, seed))
-
-
-def nation(spark: SparkSession, *, sf: float = 0.01, seed: int = 7) -> DataFrame:
-    return spark.createDataFrame(nation_pdf(sf, seed))
-
-
-def partsupp(spark: SparkSession, *, sf: float = 0.01, seed: int = 8) -> DataFrame:
-    return spark.createDataFrame(partsupp_pdf(sf, seed))
-
-
 TPCH_GENERATORS = {
     "lineitem": lineitem_pdf,
     "orders": orders_pdf,
@@ -338,34 +304,3 @@ SSB_GENERATORS = {
     "supplier": ssb_supplier_pdf,
     "customer": ssb_customer_pdf,
 }
-
-
-def tpch_tables(sf: float = 0.01) -> dict:
-    """All TPC-H-lite tables as pandas frames at the given scale factor."""
-    return {name: gen(sf) for name, gen in TPCH_GENERATORS.items()}
-
-
-def ssb_tables(sf: float = 0.01) -> dict:
-    """All SSB-lite tables as pandas frames at the given scale factor."""
-    return {name: gen(sf) for name, gen in SSB_GENERATORS.items()}
-
-
-def zipf_keys(
-    spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3
-) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(
-    spark: SparkSession, *, n: int, n_keys: int, seed: int = 4
-) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )

@@ -1,15 +1,12 @@
-"""Shared aggregation kernel: direct, partial, and merge paths."""
+"""Shared aggregation kernel: direct and partial paths, and the merge
+of partials by ``partial_columns``."""
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.common.aggregate import (
-    aggregate_pandas,
-    finalize_partials,
-    partial_columns,
-)
+from repro.core.common.aggregate import aggregate_pandas, partial_columns
 from repro.core.common.plan import Agg
 from repro.core.common.expr import Col
 
@@ -20,6 +17,24 @@ AGGS = (
     Agg("mx", "max", Col("v")),
     Agg("a", "avg", Col("v")),
 )
+
+
+def _merge(pdf: pd.DataFrame, keys, aggs) -> pd.DataFrame:
+    """Merge partial rows the way ``spark_exec`` asks Catalyst to: each
+    partial column by its ``partial_columns`` function, then avg as
+    ``__sum / __cnt``."""
+    spec = {col: fn for a in aggs for col, fn in partial_columns(a)}
+    if keys:
+        merged = pdf.groupby(list(keys), as_index=False).agg(spec)
+    else:
+        merged = pd.DataFrame({c: [getattr(pdf[c], fn)()] for c, fn in spec.items()})
+    out = merged[list(keys)].copy() if keys else pd.DataFrame(index=[0])
+    for a in aggs:
+        if a.fn == "avg":
+            out[a.out] = merged[f"{a.out}__sum"] / merged[f"{a.out}__cnt"]
+        else:
+            out[a.out] = merged[a.out]
+    return out
 
 
 def _data(n=500, seed=0):
@@ -74,7 +89,7 @@ def test_partial_then_finalize_equals_direct(n_splits):
                 AGGS, ["k"], partial=True,
             )
         )
-    merged = finalize_partials(pd.concat(parts, ignore_index=True), ["k"], AGGS)
+    merged = _merge(pd.concat(parts, ignore_index=True), ["k"], AGGS)
     merged = merged.sort_values("k").reset_index(drop=True)[direct.columns]
     pd.testing.assert_frame_equal(merged, direct, check_dtype=False)
 
@@ -87,7 +102,7 @@ def test_partial_then_finalize_global():
         parts.append(
             aggregate_pandas({}, {"s": v[chunk], "a": v[chunk]}, aggs, [], partial=True)
         )
-    merged = finalize_partials(pd.concat(parts, ignore_index=True), [], aggs)
+    merged = _merge(pd.concat(parts, ignore_index=True), [], aggs)
     assert merged["s"][0] == pytest.approx(v.sum())
     assert merged["a"][0] == pytest.approx(v.mean())
     assert merged["c"][0] == len(v)
@@ -111,7 +126,7 @@ def test_merge_associativity_hypothesis(rows, n_splits):
         for c in np.array_split(np.arange(len(k)), min(n_splits, len(k)))
         if len(c)
     ]
-    merged = finalize_partials(pd.concat(parts, ignore_index=True), ["k"], aggs)
+    merged = _merge(pd.concat(parts, ignore_index=True), ["k"], aggs)
     d = direct.sort_values("k").reset_index(drop=True)
     m = merged.sort_values("k").reset_index(drop=True)[d.columns]
     pd.testing.assert_frame_equal(m, d, check_dtype=False, atol=1e-9)

@@ -183,4 +183,5 @@ def test_scalar_insert_counts():
     ht = H.ChainingHashTable(1, [])
     for i in range(5):
         ht.insert_scalar((i,), ())
-    assert ht.n_inserts == 5
+    ht.freeze()
+    assert ht.n_entries == 5

@@ -1,4 +1,4 @@
-"""Plan-tree utilities: scans, joins, leaf resolution, provenance,
+"""Plan-tree utilities: scans, joins, leaf resolution, output schema,
 normalization, decode, and jobs importability."""
 import importlib.util
 import pathlib
@@ -10,8 +10,8 @@ import pytest
 from repro.core.common import plan as PL
 from repro.core.common.expr import Cmp, Col, Const
 from repro.core.common.plan import (
-    Agg, HashGroupBy, HashJoin, Project, Scan, Select,
-    column_provenance, decode_result, joins, leaf_scan, scans, tuples_scanned,
+    Agg, Field, HashGroupBy, HashJoin, Project, Scan, Select,
+    decode_result, joins, leaf_scan, output_schema, scans, tuples_scanned,
 )
 from repro.core.common.table import Table
 from repro.queries import ssb, tpch
@@ -64,18 +64,28 @@ def test_tuples_scanned():
     assert tuples_scanned(_plan(), {"r": r, "s": s}) == 13
 
 
-def test_provenance_through_join_and_groupby():
-    prov = column_provenance(_plan())
-    assert prov == {"k": ("r", "k")}
-    prov2 = column_provenance(_plan().child)
-    assert prov2["pay"] == ("s", "pay")
-    assert prov2["v"] == ("r", "v")
+def _coded_tables():
+    r = Table.from_pandas(pd.DataFrame({"k": ["a", "b"], "v": [1.0, 2.0]}))
+    s = Table.from_pandas(pd.DataFrame({"sk": [0, 1], "pay": ["x", "y"]}))
+    return {"r": r, "s": s}
 
 
-def test_provenance_project_renames():
+def test_schema_through_join_and_groupby():
+    t = _coded_tables()
+    assert output_schema(_plan(), t) == {
+        "k": Field("int64", ("r", "k")), "t": Field("int64"),
+    }
+    child = output_schema(_plan().child, t)
+    assert child["pay"] == Field("int64", ("s", "pay"))
+    assert child["v"] == Field("float64")
+
+
+def test_schema_project_renames():
     p = Project(Scan("r", ("k",)), (("kk", Col("k")), ("x", Cmp("<", Col("k"), Const(1)))))
-    prov = column_provenance(p)
-    assert prov == {"kk": ("r", "k")}  # computed column has no provenance
+    # a computed column has no dictionary
+    assert output_schema(p, _coded_tables()) == {
+        "kk": Field("int64", ("r", "k")), "x": Field("int64"),
+    }
 
 
 def test_decode_result():

@@ -36,8 +36,7 @@ def test_engines_agree(workload, qname):
     pd.testing.assert_frame_equal(
         a[cols].sort_values(cols).reset_index(drop=True),
         b[cols].sort_values(cols).reset_index(drop=True),
-        check_dtype=False,
-    )
+    )  # dtypes too: both come from the plan
 
 
 def test_q11_revenue_positive(workload):

@@ -37,7 +37,7 @@ def test_engines_agree(workload, qname):
     b = b[cols].sort_values(cols).reset_index(drop=True)
     import pandas as pd
 
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
+    pd.testing.assert_frame_equal(a, b)  # dtypes too: both come from the plan
 
 
 @pytest.mark.parametrize("vs", [64, 1000, 8192])

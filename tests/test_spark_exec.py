@@ -54,10 +54,9 @@ def test_single_partition_matches_serial(spark, tpch_wl):
     )
     ser = run_query(q, enc, "tectorwise")
     cols = sorted(par.columns)
-    pd.testing.assert_frame_equal(
+    pd.testing.assert_frame_equal(  # dtypes too: both come from the plan
         par[cols].sort_values(cols).reset_index(drop=True),
         ser[cols].sort_values(cols).reset_index(drop=True),
-        check_dtype=False,
     )
 
 
@@ -70,7 +69,6 @@ def test_partition_count_does_not_change_result(spark, tpch_wl):
     pd.testing.assert_frame_equal(
         a[cols].sort_values(cols).reset_index(drop=True),
         b[cols].sort_values(cols).reset_index(drop=True),
-        check_dtype=False,
         atol=1e-9,
     )
 

@@ -139,28 +139,3 @@ def test_ssb_part_hierarchy():
     # brand determines category determines mfgr
     assert (p["p_brand1"].str[:7] == p["p_category"]).all()
     assert (p["p_category"].str[:6] == p["p_mfgr"]).all()
-
-
-def test_tpch_tables_bundle():
-    t = sd.tpch_tables(SF)
-    assert set(t) == set(sd.TPCH_GENERATORS)
-
-
-def test_ssb_tables_bundle():
-    t = sd.ssb_tables(SF)
-    assert set(t) == set(sd.SSB_GENERATORS)
-
-
-def test_spark_wrappers(spark):
-    df = sd.lineitem(spark, sf=0.001)
-    assert df.count() == len(sd.lineitem_pdf(0.001))
-    assert "l_suppkey" in df.columns
-
-
-def test_key_generators(spark):
-    z = sd.zipf_keys(spark, n=1000, n_keys=50).toPandas()
-    u = sd.uniform_keys(spark, n=1000, n_keys=50).toPandas()
-    assert z["k"].between(1, 50).all()
-    assert u["k"].between(1, 50).all()
-    # zipf is skewed: top key much more frequent than uniform's
-    assert z["k"].value_counts().iloc[0] > u["k"].value_counts().iloc[0]

@@ -1,9 +1,9 @@
-"""Columnar Table encoding: dates, dictionaries, decode, oracle view."""
+"""Columnar Table encoding: dates, dictionaries, oracle view."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.common.table import Table, date_to_int, dlit, encode_tables, to_oracle_pandas
+from repro.core.common.table import Table, date_to_int, dlit, to_oracle_pandas
 
 
 @pytest.fixture()
@@ -62,14 +62,6 @@ def test_shared_dicts_unknown_value_raises(pdf):
         Table.from_pandas(bad, shared_dicts={"flag": t1.dicts["flag"]})
 
 
-def test_decode(pdf):
-    t = Table.from_pandas(pdf)
-    res = pd.DataFrame({"flag": t.columns["flag"][:2], "x": [1, 2]})
-    out = t.decode(res)
-    assert list(out["flag"]) == ["A", "B"]
-    assert list(out["x"]) == [1, 2]
-
-
 def test_slice(pdf):
     t = Table.from_pandas(pdf)
     s = t.slice(1, 3)
@@ -89,12 +81,6 @@ def test_to_oracle_pandas(pdf):
     assert out["day"].iloc[0] == 19940101
     assert list(out["flag"]) == list(pdf["flag"])  # strings untouched
     assert out["price"].dtype == np.float64
-
-
-def test_encode_tables(pdf):
-    enc = encode_tables({"a": pdf, "b": pdf})
-    assert set(enc) == {"a", "b"}
-    assert all(isinstance(t, Table) for t in enc.values())
 
 
 def test_empty_table():
