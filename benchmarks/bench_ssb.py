@@ -3,7 +3,6 @@ SF=30 simulated counters in ``extra_info``)."""
 import pytest
 
 from repro.queries import ssb
-from repro.queries.base import FIXED_TABLES
 from repro.runner import prepare_ssb, run_query
 from repro.simcpu import CostModel, SKYLAKE
 
@@ -25,7 +24,7 @@ def test_ssb_query(benchmark, workload, qname, engine):
         lambda: run_query(q, enc, engine), rounds=3, iterations=1, warmup_rounds=1
     )
     assert result is not None
-    cm = CostModel(SKYLAKE, size_scale=30.0 / BENCH_SF, fixed_tables=FIXED_TABLES)
+    cm = CostModel(SKYLAKE, size_scale=30.0 / BENCH_SF)
     run_query(q, enc, engine, cm=cm)
     benchmark.extra_info.update(
         {k: round(v, 3) for k, v in cm.counters.per_tuple(q.tuples_scanned(enc)).items()}

@@ -9,7 +9,6 @@ extra_info and printed by ``jobs/table1_counters.py``.
 import pytest
 
 from repro.queries import tpch
-from repro.queries.base import FIXED_TABLES
 from repro.runner import prepare_tpch, run_query
 from repro.simcpu import CostModel, SKYLAKE
 
@@ -34,7 +33,7 @@ def test_table1_query(benchmark, workload, qname, engine):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     assert result is not None
-    cm = CostModel(SKYLAKE, size_scale=1.0 / BENCH_SF, fixed_tables=FIXED_TABLES)
+    cm = CostModel(SKYLAKE, size_scale=1.0 / BENCH_SF)
     run_query(q, enc, engine, cm=cm)
     benchmark.extra_info.update(
         {k: round(v, 3) for k, v in cm.counters.per_tuple(q.tuples_scanned(enc)).items()}

@@ -49,6 +49,9 @@ _join_counter = itertools.count()
 AGG_FNS = ("sum", "count", "min", "max", "avg")
 INT, FLOAT = "int64", "float64"
 
+#: tables whose cardinality does not grow with the scale factor
+FIXED_TABLES = frozenset({"nation", "ddate"})
+
 
 @dataclass(frozen=True)
 class Agg:
@@ -136,6 +139,13 @@ def joins(plan) -> list:
     if isinstance(plan, HashJoin):
         return [plan] + joins(plan.probe) + joins(plan.build)
     raise TypeError(type(plan))
+
+
+def grows(plan) -> bool:
+    """Whether a structure built from ``plan`` (a hash table) grows with
+    the scale factor: some scan in it reads a table outside
+    ``FIXED_TABLES``."""
+    return any(s.table not in FIXED_TABLES for s in scans(plan))
 
 
 def leaf_scan(plan) -> Scan:

@@ -92,6 +92,3 @@ class Table:
             else:
                 columns[c] = s.to_numpy(dtype="int64")
         return cls(columns, dicts)
-
-    def slice(self, lo: int, hi: int) -> "Table":
-        return Table({c: a[lo:hi] for c, a in self.columns.items()}, self.dicts)

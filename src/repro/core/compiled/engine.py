@@ -14,7 +14,7 @@ from collections import defaultdict
 
 import pandas as pd
 
-from ...simcpu.model import CostModel, RandAccess
+from ...simcpu.model import CostModel, RandAccess, group_table
 from ..common import costs
 from ..common import plan as PL
 from ..common.table import Table
@@ -26,6 +26,8 @@ class CompiledQuery:
         self.plan = plan
         self.cg = codegen.generate(plan, partial=partial, hash_fn=hash_fn)
         self.source = self.cg.source()
+        # whether each join's hash table grows with SF, from its build side
+        self._grows = {j.name: PL.grows(j.build) for j in PL.joins(plan)}
         ns: dict = dict(self.cg.objects)
         ns["rt"] = runtime
         exec(compile(self.source, "<typer>", "exec"), ns)
@@ -48,31 +50,16 @@ class CompiledQuery:
             self._charge(cm, C, hts)
         return result
 
-    def _join_scale_deps(self, cm) -> dict:
-        return {
-            j.name: cm.structure_scale(s.table for s in PL.scans(j.build))
-            for j in PL.joins(self.plan)
-        }
-
     def _resolve_rand(self, kind_name, C, hts, n_region) -> RandAccess:
         kind, name = kind_name
         if kind == "bucket":
-            dep = self._deps.get(name, True)
-            return RandAccess(hts[name].bucket_bytes(), 1.0, scale=dep)
+            return RandAccess(hts[name].bucket_bytes(), 1.0, scale=self._grows[name])
         if kind == "entry":
-            dep = self._deps.get(name, True)
-            return RandAccess(hts[name].entry_bytes(), 1.0, scale=dep)
+            return RandAccess(hts[name].entry_bytes(), 1.0, scale=self._grows[name])
         if kind == "group":
             nk, na = self.cg.gb_meta[name]
-            width = 8 * (nk + 2 * na + 1)
             g = max(C.get(f"groups_{name}", 1), 1)
-            # group table grows with SF only when group count tracks input
-            gdep = g / max(n_region, 1) > 0.01
-            # §3.2 two-phase pre-aggregation caps the random working set
-            return RandAccess(
-                g * width, 1.0, scale=gdep,
-                cap_bytes=costs.PREAGG_PARTITION_BYTES,
-            )
+            return group_table(g, n_region, 8 * (nk + 2 * na + 1))
         raise ValueError(kind)
 
     def _group_branch(self, r, C, n) -> tuple:
@@ -85,7 +72,6 @@ class CompiledQuery:
         return ()
 
     def _charge(self, cm: CostModel, C: dict, hts: dict) -> None:
-        self._deps = self._join_scale_deps(cm)
         by_loop: dict[int, list] = defaultdict(list)
         for r in self.cg.regions:
             by_loop[r.loop_id].append(r)

@@ -24,7 +24,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
+from pyspark.sql.types import (
+    BooleanType, DoubleType, IntegerType, LongType, StructField, StructType,
+)
 
 from .common import plan as PL
 from .common.aggregate import partial_columns
@@ -135,11 +137,26 @@ def _root_pipeline_joins(plan) -> list:
     return out
 
 
-def cached_probe_df(spark, plan, tables, n_partitions: int):
-    """Pre-upload + cache the probe table for repeated timed runs."""
+_SPARK_TYPES = {
+    "bool": BooleanType, "int32": IntegerType, "int64": LongType,
+    "float64": DoubleType,
+}
+
+
+def _probe_df(spark, plan, tables):
+    """The plan's probe table as a Spark DataFrame, typed from its column
+    dtypes (Spark cannot infer a schema from 0 rows)."""
     probe = PL.leaf_scan(plan)
     pdf = pd.DataFrame({c: tables[probe.table].columns[c] for c in probe.cols})
-    sdf = spark.createDataFrame(pdf).repartition(n_partitions).persist()
+    schema = StructType(
+        [StructField(c, _SPARK_TYPES[str(pdf[c].dtype)]()) for c in pdf.columns]
+    )
+    return spark.createDataFrame(pdf, schema)
+
+
+def cached_probe_df(spark, plan, tables, n_partitions: int):
+    """Pre-upload + cache the probe table for repeated timed runs."""
+    sdf = _probe_df(spark, plan, tables).repartition(n_partitions).persist()
     sdf.count()
     return sdf
 
@@ -170,9 +187,6 @@ def run_plan_spark(
         hts[join.name] = _build_ht(df, join, hash_fn)
 
     probe = PL.leaf_scan(plan)
-    probe_pdf = pd.DataFrame(
-        {c: tables[probe.table].columns[c] for c in probe.cols}
-    )
     bc = spark.sparkContext.broadcast(hts)
 
     dtypes = {
@@ -188,7 +202,7 @@ def run_plan_spark(
     if probe_sdf is not None:
         sdf = probe_sdf
     else:
-        sdf = spark.createDataFrame(probe_pdf).repartition(n_partitions)
+        sdf = _probe_df(spark, plan, tables).repartition(n_partitions)
     partials = sdf.mapInPandas(
         _run_partition(plan, engine, bc, probe.table, vector_size, dtypes),
         schema,
@@ -210,6 +224,9 @@ def run_plan_spark(
             final_cols.append(
                 F.try_divide(F.col(f"{a.out}__sum"), F.col(f"{a.out}__cnt")).alias(a.out)
             )
+        elif a.fn == "count" and not plan.keys:
+            # 0, not NULL, when no morsel emitted a partial (0-row probe)
+            final_cols.append(F.coalesce(F.col(a.out), F.lit(0)).alias(a.out))
         else:
             final_cols.append(F.col(a.out))
     result = merged.select(*final_cols).toPandas()

@@ -95,10 +95,6 @@ class _Runner:
         ht = ChainingHashTable(
             len(join.build_keys), list(join.payload), hash_fn="murmur"
         )
-        # whether this table's size grows with the modelled scale factor
-        ht.scale_dep = self.cm is None or self.cm.structure_scale(
-            s.table for s in PL.scans(join.build)
-        )
         keys = [df[k].to_numpy().astype(np.int64) for k in join.build_keys]
         payloads = {p: df[p].to_numpy() for p in join.payload}
         ht.build_bulk(keys, payloads)
@@ -141,6 +137,7 @@ class _Runner:
                 plan.probe_keys,
                 plan.payload,
                 ctx,
+                PL.grows(plan.build),
             )
         if isinstance(plan, PL.HashGroupBy):
             # pipeline breaker: materialize, then rescan

@@ -19,7 +19,7 @@ from ..common.aggregate import aggregate_pandas
 from ..common.hashtable import ChainingHashTable
 from ..common.plan import Agg
 from ..common.table import Table
-from ...simcpu.model import RandAccess
+from ...simcpu.model import RandAccess, group_table
 from . import primitives as P
 
 
@@ -114,12 +114,14 @@ class HashJoinOp:
         probe_keys,
         payload,
         ctx: P.Ctx,
+        grows: bool,  # whether the hash table grows with SF
     ):
         self.probe = probe_child
         self.build_drain = build_drain
         self.probe_keys = list(probe_keys)
         self.payload = list(payload)
         self.ctx = ctx
+        self.grows = grows
         self.ht: ChainingHashTable | None = None
 
     def _probe_batch(self, b: Batch):
@@ -134,10 +136,9 @@ class HashJoinOp:
             P.charge(ctx, m, costs.HASH_COMBINE, 2, 1)
         h = ht.hash_vec([k.astype(np.int64) for k in keys])
         # findCandidates: bucket directory lookups, tag-filtered
-        dep = getattr(ht, "scale_dep", True)
         P.charge(
             ctx, m, costs.HT_BUCKET, 1, 1,
-            rand=(RandAccess(ht.bucket_bytes(), 1.0, scale=dep),),
+            rand=(RandAccess(ht.bucket_bytes(), 1.0, scale=self.grows),),
         )
         cand = ht.bucket_heads(h)
         pos = np.nonzero(cand >= 0)[0]
@@ -149,7 +150,7 @@ class HashJoinOp:
             for _ in self.probe_keys:
                 P.charge(
                     ctx, nc, costs.CMP, 2, 1,
-                    rand=(RandAccess(ht.entry_bytes(), 1.0, scale=dep),),
+                    rand=(RandAccess(ht.entry_bytes(), 1.0, scale=self.grows),),
                 )
             eq = ht.compare_keys(cand, [k[pos] for k in keys])
             # extractHits: predicated compaction of matches + survivors;
@@ -256,13 +257,7 @@ class GroupByOp:
         n_groups = max(len(result), 1)
         width = 8 * (len(self.keys) + 2 * len(self.aggs) + 1)
         row_width = 8 * (len(self.keys) + len(in_parts))
-        gt_bytes = n_groups * width
-        gdep = n_groups / max(total, 1) > 0.01
-        group_rand = (
-            (RandAccess(gt_bytes, 1.0, scale=gdep, cap_bytes=costs.PREAGG_PARTITION_BYTES),)
-            if self.keys
-            else ()
-        )
+        group_rand = (group_table(n_groups, total, width),) if self.keys else ()
         if self.keys and total:
             # new-group fraction drives both the §2.2 partition shuffle
             # work and the (hard to predict) group-found branch

@@ -10,10 +10,6 @@ from dataclasses import dataclass
 
 from ..core.common import plan as PL
 
-#: tables whose cardinality does not grow with the scale factor — the
-#: cost model must not scale structures built from them
-FIXED_TABLES = frozenset({"nation", "ddate"})
-
 
 @dataclass
 class Query:

@@ -42,6 +42,17 @@ class RandAccess:
     cap_bytes: float | None = None
 
 
+def group_table(n_groups: int, n_in: int, width: int) -> RandAccess:
+    """A hash group-by's table: ``n_groups`` rows of ``width`` bytes,
+    found from ``n_in`` input rows. It grows with SF only when the group
+    count tracks the input; the §3.2 two-phase pre-aggregation caps its
+    random working set at one partition."""
+    return RandAccess(
+        n_groups * width, 1.0, scale=n_groups / max(n_in, 1) > 0.01,
+        cap_bytes=costs.PREAGG_PARTITION_BYTES,
+    )
+
+
 @dataclass
 class Counters:
     instr: float = 0.0
@@ -113,26 +124,14 @@ class CostModel:
     for an analytic model; see DESIGN.md §2). Only evaluation reads it.
     """
 
-    def __init__(
-        self,
-        hw: Hardware = SKYLAKE,
-        size_scale: float = 1.0,
-        fixed_tables: frozenset = frozenset(),
-    ):
+    def __init__(self, hw: Hardware = SKYLAKE, size_scale: float = 1.0):
         self.hw = hw
         self.size_scale = size_scale
-        # tables whose cardinality does not grow with SF (date/nation
-        # dimensions): structures built from them keep their actual size
-        self.fixed_tables = frozenset(fixed_tables)
         self.trace = Trace()
 
     @property
     def counters(self) -> Counters:
         return evaluate(self.trace, self.hw, self.size_scale)
-
-    def structure_scale(self, source_tables) -> bool:
-        """Whether a structure built from ``source_tables`` grows with SF."""
-        return any(t not in self.fixed_tables for t in source_tables)
 
     def loop(
         self,

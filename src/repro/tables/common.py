@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ..core.common import plan as PL
 from ..queries import ssb, tpch
-from ..queries.base import FIXED_TABLES
 from ..runner import prepare_ssb, prepare_tpch, run_query
 from ..simcpu import CostModel, evaluate
 from ..simcpu.hardware import PLATFORMS
@@ -43,7 +43,7 @@ def _traces(workload: str, sf_exec: float, vector_size: int) -> dict:
     for qname, q in queries.items():
         norm = q.tuples_scanned(enc)
         for eng, _label in ENGINES:
-            cm = CostModel(fixed_tables=FIXED_TABLES)
+            cm = CostModel()
             run_query(q, enc, eng, cm=cm, vector_size=vector_size)
             out[(qname, eng)] = (cm.trace, norm)
     return out
@@ -74,14 +74,11 @@ counters_for.cache_info = _traces.cache_info
 def scanned_bytes(workload: str, sf_exec: float, model_sf: float) -> dict:
     """Bytes of referenced base columns per query, at the modelled SF."""
     _, enc, queries = load_workload(workload, sf_exec)
-    from ..core.common import plan as PL
-
     out = {}
     for qname, q in queries.items():
         total = 0
         for s in PL.scans(q.plan):
-            fixed = s.table in FIXED_TABLES
             b = enc[s.table].nbytes(s.cols)
-            total += b if fixed else b * model_sf / sf_exec
+            total += b * model_sf / sf_exec if PL.grows(s) else b
         out[qname] = total
     return out

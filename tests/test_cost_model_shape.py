@@ -5,9 +5,7 @@ the reproduction's cost model, so regressions in calibration fail loudly.
 """
 import pytest
 
-from repro.queries.base import FIXED_TABLES
-from repro.runner import prepare_ssb, prepare_tpch, run_query
-from repro.simcpu import CostModel, SKYLAKE
+from repro.simcpu import SKYLAKE
 from repro.simcpu import parallel
 from repro.tables import common
 

@@ -139,3 +139,22 @@ def test_spark_float_key_behind_selective_filter(spark, small, engine):
         "FROM t WHERE i >= 64 GROUP BY f, s",
         t=pdf,
     )
+
+
+@pytest.mark.parametrize("engine", ["typer", "tectorwise"])
+@pytest.mark.parametrize("kind", ["groupby", "global"])
+def test_spark_empty_probe_table(spark, small, kind, engine):
+    """Spark cannot infer a schema from a 0-row probe table."""
+    pdf, _ = small
+    t = {"t": Table.from_pandas(pdf.iloc[:0])}
+    plan = HashGroupBy(_SCAN, ("f", "s") if kind == "groupby" else (), _EMPTY_AGGS)
+    got = spark_exec.run_plan_spark(spark, plan, t, engine=engine, n_partitions=2)
+    _check(got, plan, t, kind)
+
+
+def test_cached_probe_df_column_types(spark, small):
+    """The probe's Spark types follow its column dtypes (coded ``s`` is int32)."""
+    _, t = small
+    sdf = spark_exec.cached_probe_df(spark, _SCAN, t, 2)
+    assert sdf.dtypes == [("i", "bigint"), ("f", "double"), ("s", "int")]
+    sdf.unpersist()

@@ -1,5 +1,5 @@
-"""Plan-tree utilities: scans, joins, leaf resolution, output schema,
-normalization, decode, and jobs importability."""
+"""Plan-tree utilities: scans, joins, leaf resolution, structure scaling,
+output schema, normalization, decode, and jobs importability."""
 import importlib.util
 import pathlib
 
@@ -107,6 +107,26 @@ def test_ssb_query_tables_attr_complete():
     _, enc = prepare_ssb(0.002)
     for q in ssb.all_queries(enc).values():
         assert {s.table for s in scans(q.plan)} == set(q.tables)
+
+
+def test_join_tables_grow_unless_built_from_fixed_dimensions(tpch_plans):
+    """The SSB date joins and q9's nation join build hash tables that keep
+    their size as the SF grows; every other join's table grows."""
+    _, ssb_enc = prepare_ssb(0.002)
+    queries = {**tpch_plans[1], **ssb.all_queries(ssb_enc)}
+    fixed = {
+        (qname, j.build_keys)
+        for qname, q in queries.items()
+        for j in joins(q.plan)
+        if not PL.grows(j.build)
+    }
+    assert fixed == {
+        ("q9", ("n_nationkey",)),
+        ("q1.1", ("d_datekey",)),
+        ("q2.1", ("d_datekey",)),
+        ("q3.1", ("d_datekey",)),
+        ("q4.1", ("d_datekey",)),
+    }
 
 
 def test_agg_validation():

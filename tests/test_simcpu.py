@@ -95,12 +95,6 @@ def test_cap_bytes_bounds_struct():
     assert capped.counters.mem_stall < free.counters.mem_stall
 
 
-def test_structure_scale_fixed_tables():
-    cm = CostModel(SKYLAKE, fixed_tables=frozenset({"ddate"}))
-    assert cm.structure_scale(["lineorder", "ddate"])
-    assert not cm.structure_scale(["ddate"])
-
-
 def test_base_stream_charges_dram():
     cm = CostModel(SKYLAKE)
     cm.loop(1000, 2.0, seq_bytes=64_000, stream_ws=None)

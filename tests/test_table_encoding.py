@@ -62,14 +62,6 @@ def test_shared_dicts_unknown_value_raises(pdf):
         Table.from_pandas(bad, shared_dicts={"flag": t1.dicts["flag"]})
 
 
-def test_slice(pdf):
-    t = Table.from_pandas(pdf)
-    s = t.slice(1, 3)
-    assert s.n == 2
-    assert list(s.columns["k"]) == [2, 3]
-    assert s.dicts is t.dicts
-
-
 def test_nbytes(pdf):
     t = Table.from_pandas(pdf)
     assert t.nbytes(["k"]) == 4 * 8
