@@ -24,9 +24,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import (
-    BooleanType, DoubleType, IntegerType, LongType, StructField, StructType,
-)
+from pyspark.sql.types import DoubleType, IntegerType, LongType, StructField, StructType
 
 from .common import plan as PL
 from .common.aggregate import partial_columns
@@ -137,10 +135,7 @@ def _root_pipeline_joins(plan) -> list:
     return out
 
 
-_SPARK_TYPES = {
-    "bool": BooleanType, "int32": IntegerType, "int64": LongType,
-    "float64": DoubleType,
-}
+_SPARK_TYPES = {"int32": IntegerType, "int64": LongType, "float64": DoubleType}
 
 
 def _probe_df(spark, plan, tables):

@@ -106,7 +106,7 @@ class _Runner:
                 P.charge(ctx, n, costs.HASH_MURMUR, 1, 1)
             P.charge(
                 ctx, n, costs.HT_INSERT, len(join.build_keys) + len(join.payload), 0,
-                rand=(RandAccess(ht.bucket_bytes(), 1.0),),
+                rand=(RandAccess(ht.bucket_bytes(), 1.0, scale=PL.grows(join.build)),),
             )
             self.cm.loop(
                 n, 0.0, seq_bytes=ht.entry_bytes() / max(n, 1) * n, stream_ws=None
